@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "svc/protocol.hpp"
+
 namespace ilc::cluster {
 
 namespace {
@@ -71,6 +73,10 @@ bool LineReader::next(std::string& line, int timeout_ms, std::string* err) {
       line.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       return true;
+    }
+    if (buf_.size() > svc::kMaxRequestLine) {
+      set_err(err, "line too long");
+      return false;
     }
     char chunk[4096];
     const net::IoResult r = net::read_some(fd_, chunk, sizeof chunk);

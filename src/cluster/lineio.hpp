@@ -34,7 +34,7 @@ class LineReader {
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Next '\n'-terminated line (terminator stripped). False on EOF,
-  /// error, or deadline; `err` says which.
+  /// error, deadline, or a line over svc::kMaxRequestLine; `err` says which.
   bool next(std::string& line, int timeout_ms, std::string* err = nullptr);
 
  private:

@@ -65,13 +65,16 @@ std::vector<std::string> encode_shard_map(const ShardMap& map) {
 }
 
 bool decode_shard_map(const std::vector<std::string>& lines, ShardMap& out) {
-  if (lines.empty()) return false;
+  if (lines.size() < 2) return false;  // at least the header and "end"
   const std::vector<std::string> head = support::split_ws(lines[0]);
   if (head.empty() || head[0] != "map") return false;
   ShardMap map;
   std::uint64_t shard_count = 0;
+  // The peer's shard count sizes an allocation: it may not exceed the
+  // shard lines this reply actually carries.
   if (!parse_u64(field(head, "epoch"), map.epoch) ||
-      !parse_u64(field(head, "shards"), shard_count))
+      !parse_u64(field(head, "shards"), shard_count) ||
+      shard_count > lines.size() - 2)
     return false;
   map.shards.resize(shard_count);
   for (std::size_t i = 1; i < lines.size(); ++i) {
@@ -92,21 +95,12 @@ bool decode_shard_map(const std::vector<std::string>& lines, ShardMap& out) {
     e.ship_port = static_cast<std::uint16_t>(ship);
     e.health = field(words, "health");
     const std::string followers = field(words, "followers");
-    if (followers != "-" && !followers.empty()) {
-      std::size_t start = 0;
-      while (start <= followers.size()) {
-        const std::size_t comma = followers.find(',', start);
-        const std::string one =
-            followers.substr(start, comma == std::string::npos
-                                        ? std::string::npos
-                                        : comma - start);
+    if (followers != "-" && !followers.empty())
+      for (const std::string& one : support::split(followers, ',')) {
         repl::Endpoint ep;
         if (!parse_endpoint(one, ep)) return false;
         e.followers.push_back(ep);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
       }
-    }
   }
   return false;  // no "end": truncated response
 }
@@ -256,59 +250,37 @@ std::string Registry::handle(const std::string& line) {
 
 // ---- RegistryServer ------------------------------------------------------
 
-std::unique_ptr<RegistryServer> RegistryServer::start(Registry& registry,
-                                                      std::uint16_t port) {
-  auto s = std::unique_ptr<RegistryServer>(new RegistryServer());
-  s->registry_ = &registry;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-  s->acceptor_ = std::thread(&RegistryServer::accept_loop, s.get());
-  return s;
-}
+namespace {
 
-RegistryServer::~RegistryServer() { stop(); }
-
-void RegistryServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void RegistryServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&RegistryServer::session, this, std::move(conn));
-  }
-}
-
-void RegistryServer::session(net::Fd fd) {
+void serve_registry(Registry& registry, net::Fd fd,
+                    const std::atomic<bool>& stop) {
   LineReader reader(fd.get());
   std::string line;
   std::string err;
-  while (!stop_.load()) {
+  while (!stop.load()) {
     // Short poll per line so stop() is honored on an idle connection.
     err.clear();
     if (!reader.next(line, 50, &err)) {
       if (err == "read timeout") continue;  // idle, not gone
-      return;  // EOF or hard error: the peer is done
+      return;  // EOF, hard error or an overlong line: the peer is done
     }
     if (line == "quit") return;
-    const std::string response = registry_->handle(line);
+    const std::string response = registry.handle(line);
     if (!write_all(fd.get(), response, 1000)) return;
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<RegistryServer> RegistryServer::start(Registry& registry,
+                                                      std::uint16_t port) {
+  try {
+    return std::unique_ptr<RegistryServer>(new RegistryServer(
+        port, [&registry](net::Fd fd, const std::atomic<bool>& stop) {
+          serve_registry(registry, std::move(fd), stop);
+        }));
+  } catch (const std::exception&) {
+    return nullptr;
   }
 }
 

@@ -28,12 +28,10 @@
 // stream unacceptable to every promoted replica.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/socket.hpp"
@@ -97,32 +95,19 @@ class Registry {
   obs::Counter fenced_;
 };
 
-/// Serves a Registry over loopback TCP, thread-per-connection (control
-/// plane traffic is light and long-lived sessions are unnecessary —
-/// every connection handles any number of commands, one line each).
-class RegistryServer {
+/// Serves a Registry over loopback TCP: one session thread per
+/// connection, joined as soon as the peer hangs up, each reading command
+/// lines of at most svc::kMaxRequestLine bytes.
+class RegistryServer : public net::SessionAcceptor {
  public:
   /// Listen on 127.0.0.1:`port` (0 = ephemeral). nullptr when the port
   /// cannot be bound. The Registry must outlive the server.
   static std::unique_ptr<RegistryServer> start(Registry& registry,
                                                std::uint16_t port);
-  ~RegistryServer();
-
-  std::uint16_t port() const { return port_; }
-  void stop();
 
  private:
-  RegistryServer() = default;
-  void accept_loop();
-  void session(net::Fd fd);
-
-  Registry* registry_ = nullptr;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;
+  RegistryServer(std::uint16_t port, SessionFn session)
+      : SessionAcceptor(port, std::move(session)) {}
 };
 
 /// Client-side cache of the map with epoch-based refresh. Connection

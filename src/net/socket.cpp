@@ -11,8 +11,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <stdexcept>
+#include <system_error>
+#include <vector>
 
 #include "support/failpoint.hpp"
 
@@ -164,6 +168,49 @@ std::size_t ensure_fd_capacity(std::size_t need) {
   }
   return lim.rlim_cur == RLIM_INFINITY ? need
                                        : static_cast<std::size_t>(lim.rlim_cur);
+}
+
+// ---- SessionAcceptor -----------------------------------------------------
+
+SessionAcceptor::SessionAcceptor(std::uint16_t port, SessionFn session)
+    : session_(std::move(session)) {
+  listen_ = listen_tcp(port, port_);
+  acceptor_ = std::thread(&SessionAcceptor::accept_loop, this);
+}
+
+void SessionAcceptor::stop() {
+  if (stop_.exchange(true)) return;
+  acceptor_.join();
+  listen_.reset();
+}
+
+void SessionAcceptor::accept_loop() {
+  // A std::async future joins its thread when it is destroyed: erasing a
+  // ready one reaps a finished session, and leaving this scope joins the
+  // ones still running.
+  std::vector<std::future<void>> sessions;
+  while (!stop_.load()) {
+    std::erase_if(sessions, [](const std::future<void>& f) {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
+    if (!wait_readable(listen_.get(), 50)) continue;
+    Fd conn = accept_conn(listen_.get(), nullptr);
+    if (!conn.valid()) continue;
+    try {
+      if (support::failpoint("net.spawn"))
+        throw std::system_error(EAGAIN, std::generic_category(), "net.spawn");
+      // noexcept: a session that throws ends the process, as it would on
+      // a plain thread, instead of vanishing into a discarded future.
+      sessions.push_back(std::async(
+          std::launch::async, [this, fd = std::move(conn)]() mutable noexcept {
+            ++live_;
+            session_(std::move(fd), stop_);
+            --live_;
+          }));
+    } catch (const std::system_error&) {
+      // Out of threads: this connection closes, the ones running go on.
+    }
+  }
 }
 
 }  // namespace ilc::net

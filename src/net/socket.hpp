@@ -11,14 +11,20 @@
 //   net.write=error*N    the next N writes move at most one byte (a
 //                        deterministic short write; the event loop must
 //                        finish the job via its write buffer + EPOLLOUT)
+//   net.spawn=error*N    SessionAcceptor fails to start the next N
+//                        session threads, as std::thread does when the
+//                        process is out of threads
 //
 // Linux-only by design (epoll, accept4, eventfd), like the subsystem it
 // serves.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace ilc::net {
@@ -100,5 +106,40 @@ bool wait_writable(int fd, int timeout_ms);
 /// `need` descriptors fit (best effort; returns the resulting soft
 /// limit). The load generator holds thousands of sockets per process.
 std::size_t ensure_fd_capacity(std::size_t need);
+
+/// Thread-per-session loopback server for the blocking-style control
+/// plane (cluster registry, WAL shipping). One accept thread polls the
+/// listener every 50 ms, runs `session` on a new thread per connection
+/// and on every tick joins the sessions that have finished. A failed
+/// thread spawn closes that connection; accepting goes on.
+class SessionAcceptor {
+ public:
+  /// Serves one connection until the peer is done or `stop` reads true
+  /// (poll it every few tens of milliseconds so stop() stays prompt).
+  using SessionFn = std::function<void(Fd, const std::atomic<bool>& stop)>;
+
+  /// Listen on 127.0.0.1:`port` (0 = ephemeral) and start accepting.
+  /// Throws std::runtime_error when the port cannot be bound.
+  SessionAcceptor(std::uint16_t port, SessionFn session);
+  ~SessionAcceptor() { stop(); }
+  SessionAcceptor(const SessionAcceptor&) = delete;
+  SessionAcceptor& operator=(const SessionAcceptor&) = delete;
+
+  std::uint16_t port() const { return port_; }
+  /// Sessions currently running.
+  std::size_t sessions() const { return live_.load(); }
+  /// Stop accepting, raise `stop` and join every session. Idempotent.
+  void stop();
+
+ private:
+  void accept_loop();
+
+  SessionFn session_;
+  Fd listen_;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> live_{0};
+  std::thread acceptor_;
+};
 
 }  // namespace ilc::net

@@ -30,67 +30,16 @@ bool write_all(int fd, const std::string& data, const std::atomic<bool>& stop,
   return true;
 }
 
-struct ActiveGuard {
-  explicit ActiveGuard(std::atomic<std::size_t>& n) : n_(n) { ++n_; }
-  ~ActiveGuard() { --n_; }
-  std::atomic<std::size_t>& n_;
-};
-
-}  // namespace
-
-// ---- ShipServer ----------------------------------------------------------
-
-std::unique_ptr<ShipServer> ShipServer::start(std::string dir,
-                                              std::uint16_t port,
-                                              ShipServerOptions opts) {
-  auto s = std::unique_ptr<ShipServer>(new ShipServer());
-  s->dir_ = std::move(dir);
-  s->opts_ = opts;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-  s->acceptor_ = std::thread(&ShipServer::accept_loop, s.get());
-  return s;
-}
-
-ShipServer::~ShipServer() { stop(); }
-
-void ShipServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void ShipServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&ShipServer::session, this, std::move(conn));
-  }
-}
-
-void ShipServer::session(net::Fd fd) {
-  ActiveGuard guard(active_);
-  const int interval = opts_.poll_interval_ms;
-
+/// One follower session: read its Hello, position a ShipSource (or
+/// reject and hang up), then stream until the follower drops or `stop`.
+void serve_follower(const std::string& dir, int interval, net::Fd fd,
+                    const std::atomic<bool>& stop) {
   // Phase 1: read the follower's Hello.
   MsgReader reader;
   Msg hello;
   char buf[4096];
   for (;;) {
-    if (stop_.load()) return;
+    if (stop.load()) return;
     const MsgReader::Status st = reader.next(hello);
     if (st == MsgReader::Status::Ok) break;
     if (st == MsgReader::Status::Corrupt) return;
@@ -103,16 +52,16 @@ void ShipServer::session(net::Fd fd) {
   }
 
   // Phase 2: position the session (or reject it and hang up).
-  ShipSource src(dir_);
+  ShipSource src(dir);
   std::string out;
   std::string why;
   if (!src.handshake(hello, out, &why)) {
-    write_all(fd.get(), out, stop_, interval);
+    write_all(fd.get(), out, stop, interval);
     return;
   }
 
   // Phase 3: stream until the follower drops or we stop.
-  while (!stop_.load()) {
+  while (!stop.load()) {
     out.clear();
     if (!src.poll(out)) return;
     if (!out.empty()) {
@@ -120,10 +69,10 @@ void ShipServer::session(net::Fd fd) {
       // follower's MsgReader is left holding an undecodable tail it
       // drops on reconnect — no partial frame ever reaches its store.
       if (out.size() > 8 && support::failpoint("repl.ship")) {
-        write_all(fd.get(), out.substr(0, out.size() / 2), stop_, interval);
+        write_all(fd.get(), out.substr(0, out.size() / 2), stop, interval);
         return;
       }
-      if (!write_all(fd.get(), out, stop_, interval)) return;
+      if (!write_all(fd.get(), out, stop, interval)) return;
     }
     // Idle wait doubles as peer-death detection: the follower never
     // speaks after its Hello, so readability means EOF or an error.
@@ -133,6 +82,24 @@ void ShipServer::session(net::Fd fd) {
           r.status == net::IoStatus::Error)
         return;
     }
+  }
+}
+
+}  // namespace
+
+// ---- ShipServer ----------------------------------------------------------
+
+std::unique_ptr<ShipServer> ShipServer::start(std::string dir,
+                                              std::uint16_t port,
+                                              ShipServerOptions opts) {
+  try {
+    return std::unique_ptr<ShipServer>(new ShipServer(
+        port, [dir = std::move(dir), interval = opts.poll_interval_ms](
+                  net::Fd fd, const std::atomic<bool>& stop) {
+          serve_follower(dir, interval, std::move(fd), stop);
+        }));
+  } catch (const std::exception&) {
+    return nullptr;
   }
 }
 

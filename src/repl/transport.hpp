@@ -3,8 +3,9 @@
 // sessions are few (one per follower) and long-lived, so a dedicated
 // thread per session is the simple, obviously-correct shape.
 //
-//   ShipServer  runs next to a leader store: accepts follower
-//               connections, answers each Hello with a per-session
+//   ShipServer  runs next to a leader store on a net::SessionAcceptor
+//               (each session's thread is joined when its follower
+//               goes): answers each Hello with a per-session
 //               ShipSource, then streams Snapshot/Frames/Heartbeat until
 //               the follower drops or the server stops. A split-brain
 //               follower gets its Reject and the connection is closed.
@@ -32,7 +33,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/socket.hpp"
 #include "repl/applier.hpp"
@@ -45,36 +45,17 @@ struct ShipServerOptions {
   int poll_interval_ms = 20;
 };
 
-class ShipServer {
+class ShipServer : public net::SessionAcceptor {
  public:
   /// Listen on 127.0.0.1:`port` (0 = ephemeral) and serve the store at
   /// `dir`. Returns nullptr when the port cannot be bound.
   static std::unique_ptr<ShipServer> start(std::string dir,
                                            std::uint16_t port,
                                            ShipServerOptions opts = {});
-  ~ShipServer();
-
-  std::uint16_t port() const { return port_; }
-  /// Follower sessions currently streaming.
-  std::size_t sessions() const { return active_.load(); }
-
-  void stop();
 
  private:
-  ShipServer() = default;
-  void accept_loop();
-  void session(net::Fd fd);
-
-  std::string dir_;
-  ShipServerOptions opts_;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> active_{0};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  // session threads, joined on stop
+  ShipServer(std::uint16_t port, SessionFn session)
+      : SessionAcceptor(port, std::move(session)) {}
 };
 
 struct ShipClientOptions {

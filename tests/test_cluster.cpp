@@ -5,14 +5,17 @@
 // generation with followers re-pointed and byte-identical, the
 // resurrected old leader refused on both planes (WAL generation by the
 // split-brain handshake, registry re-announcement by the epoch fence),
-// clients observing the epoch bump, and scatter-gather degrading to an
-// explicit partial result while a shard is dark. Failures are injected
+// clients observing the epoch bump, the registry server joining each
+// finished session (VmSize flat over sequential requests) and surviving
+// overlong lines and failed thread spawns, and scatter-gather degrading
+// to an explicit partial result while a shard is dark. Failures are injected
 // (support::failpoint, dead ports, killed servers), never timed.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "cluster/health.hpp"
+#include "cluster/lineio.hpp"
 #include "cluster/promote.hpp"
 #include "cluster/registry.hpp"
 #include "cluster/scatter.hpp"
@@ -130,6 +134,16 @@ struct ProbeScript {
 struct FailpointGuard {
   ~FailpointGuard() { support::Failpoints::instance().unset_all(); }
 };
+
+/// This process's virtual size in MB (VmSize in /proc/self/status):
+/// every thread that exited without being joined keeps its stack mapped.
+double vm_size_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stod(line.substr(7)) / 1024;
+  return 0;
+}
 
 // --- health state machine -------------------------------------------------
 
@@ -507,6 +521,99 @@ TEST(ClusterRegistry, ClientsObserveTheEpochBumpOverTheWire) {
   ASSERT_TRUE(observer.refresh(&err)) << err;
   EXPECT_EQ(observer.router_shards()[0].primary, follower0);
 
+  server->stop();
+}
+
+TEST(ClusterRegistry, ShardCountBeyondTheReplyIsMalformedNotAnAllocation) {
+  cluster::ShardMap back;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = cluster::decode_shard_map(
+                      {"map epoch=1 shards=4000000000000", "end"}, back));
+  EXPECT_FALSE(ok);
+  // One shard line short of the announced count.
+  EXPECT_FALSE(cluster::decode_shard_map(
+      {"map epoch=1 shards=2",
+       "shard 0 leader=- ship=0 health=healthy followers=-", "end"},
+      back));
+}
+
+TEST(ClusterRegistry, SequentialRequestsDoNotAccumulateSessionThreads) {
+  obs::Registry metrics;
+  cluster::Registry registry(1, &metrics);
+  auto server = cluster::RegistryServer::start(registry, 0);
+  ASSERT_TRUE(server);
+  const repl::Endpoint ep{"127.0.0.1", server->port()};
+  std::string err;
+  // Hold a few sessions at once first: the allocator arenas and cached
+  // thread stacks they leave behind are reused by every later session,
+  // so the sequential loop below measures only what stays.
+  {
+    std::vector<net::Fd> held;
+    for (int i = 0; i < 4; ++i) {
+      held.push_back(cluster::connect_endpoint(ep, 1000, &err));
+      ASSERT_TRUE(held.back().valid()) << err;
+      ASSERT_TRUE(cluster::write_all(held.back().get(), "epoch\n", 1000, &err))
+          << err;
+      cluster::LineReader reader(held.back().get());
+      std::string reply;
+      ASSERT_TRUE(reader.next(reply, 1000, &err)) << err;
+    }
+  }
+  cluster::RegistryClient client(ep);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(client.refresh(&err)) << err;
+  const double before = vm_size_mb();
+  // One connection per refresh, one at a time.
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(client.refresh(&err)) << err;
+  const double growth = vm_size_mb() - before;
+  RecordProperty("vmsize_growth_mb", std::to_string(growth));
+  EXPECT_LT(growth, 64.0) << "VmSize grew " << growth << " MB";
+  server->stop();
+}
+
+TEST(ClusterRegistry, OverlongLineClosesOnlyThatSession) {
+  obs::Registry metrics;
+  cluster::Registry registry(1, &metrics);
+  auto server = cluster::RegistryServer::start(registry, 0);
+  ASSERT_TRUE(server);
+  const repl::Endpoint ep{"127.0.0.1", server->port()};
+
+  std::string err;
+  net::Fd fd = cluster::connect_endpoint(ep, 1000, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+  ASSERT_TRUE(cluster::write_all(fd.get(), std::string(5000, 'x'), 1000, &err))
+      << err;
+  cluster::LineReader reader(fd.get());
+  std::string line;
+  EXPECT_FALSE(reader.next(line, 2000, &err));
+  EXPECT_EQ(err, "peer closed");
+
+  cluster::RegistryClient next(ep);
+  EXPECT_TRUE(next.fetch(&err)) << err;
+  server->stop();
+}
+
+TEST(ClusterRegistry, FailedSessionSpawnDropsOnlyThatConnection) {
+  FailpointGuard guard;
+  obs::Registry metrics;
+  cluster::Registry registry(1, &metrics);
+  auto server = cluster::RegistryServer::start(registry, 0);
+  ASSERT_TRUE(server);
+  const repl::Endpoint ep{"127.0.0.1", server->port()};
+  ASSERT_TRUE(support::Failpoints::instance().configure("net.spawn=error*1"));
+
+  // The connection whose session thread could not start is closed
+  // before anything is said on it.
+  std::string err;
+  net::Fd fd = cluster::connect_endpoint(ep, 1000, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+  cluster::LineReader reader(fd.get());
+  std::string line;
+  EXPECT_FALSE(reader.next(line, 2000, &err));
+  EXPECT_EQ(err, "peer closed");
+
+  std::string reply;
+  ASSERT_TRUE(cluster::request_line(ep, "epoch", 1000, reply, &err)) << err;
+  EXPECT_EQ(reply, "epoch 0");
   server->stop();
 }
 

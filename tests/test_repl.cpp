@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,6 +114,16 @@ bool wait_position(const std::string& leader_dir, const repl::Applier& a,
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return false;
+}
+
+/// This process's virtual size in MB (VmSize in /proc/self/status):
+/// every thread that exited without being joined keeps its stack mapped.
+double vm_size_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stod(line.substr(7)) / 1024;
+  return 0;
 }
 
 // --- wire ----------------------------------------------------------------
@@ -537,6 +548,62 @@ TEST(ReplTcp, TornTcpShipIsReconnectedAndConverges) {
   EXPECT_EQ(repl::divergence(leader.path, follower.path), std::nullopt);
   EXPECT_GE(c->connects(), 2u);
   support::Failpoints::instance().unset_all();
+}
+
+TEST(ReplTcp, ShipServerJoinsEachFinishedSession) {
+  TempDir leader("repl_tcpreap_leader");
+  TempDir follower("repl_tcpreap_follower");
+  auto store = kbstore::Store::open(leader.path, every_append());
+  ASSERT_TRUE(store);
+  for (int i = 0; i < 4; ++i) store->append(sample("p" + std::to_string(i), i));
+
+  auto ship = repl::ShipServer::start(leader.path, 0);
+  ASSERT_TRUE(ship);
+  auto a = repl::Applier::open(follower.path);
+  ASSERT_TRUE(a);
+  repl::ShipClientOptions copts;
+  copts.reconnect_ms = 20;
+  copts.io_timeout_ms = 50;
+
+  // Stream to a few followers at once first: the allocator arenas and
+  // cached thread stacks their sessions leave behind are reused by every
+  // later session, so the sequential loop below measures only what stays.
+  {
+    TempDir w0("repl_tcpreap_w0"), w1("repl_tcpreap_w1"),
+        w2("repl_tcpreap_w2"), w3("repl_tcpreap_w3");
+    std::vector<std::unique_ptr<repl::Applier>> appliers;
+    std::vector<std::unique_ptr<repl::ShipClient>> clients;
+    for (const TempDir* w : {&w0, &w1, &w2, &w3}) {
+      appliers.push_back(repl::Applier::open(w->path));
+      ASSERT_TRUE(appliers.back());
+      clients.push_back(
+          repl::ShipClient::start(*appliers.back(), ship->port(), copts));
+    }
+    for (const auto& wa : appliers)
+      ASSERT_TRUE(wait_position(leader.path, *wa, 15000));
+  }
+
+  // One follower connection at a time: connect, then hang up.
+  double before = 0;
+  for (int i = 0; i < 60; ++i) {
+    if (i == 10) before = vm_size_mb();
+    auto c = repl::ShipClient::start(*a, ship->port(), copts);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (c->connects() < 1 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(c->connects(), 1u) << "cycle " << i;
+    c->stop();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ship->sessions() > 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(ship->sessions(), 0u);
+  const double growth = vm_size_mb() - before;
+  RecordProperty("vmsize_growth_mb", std::to_string(growth));
+  EXPECT_LT(growth, 64.0) << "VmSize grew " << growth << " MB";
+  EXPECT_EQ(repl::divergence(leader.path, follower.path), std::nullopt);
 }
 
 // --- router --------------------------------------------------------------
