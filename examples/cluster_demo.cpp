@@ -22,6 +22,7 @@
 //
 // Exits non-zero when any of those observations does not hold.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -87,7 +88,8 @@ struct Node {
   std::unique_ptr<repl::ShipClient> shipping; // followers only
 
   repl::Endpoint endpoint() const {
-    return {"127.0.0.1", server ? server->port() : 0};
+    return {"127.0.0.1",
+            static_cast<std::uint16_t>(server ? server->port() : 0)};
   }
   void kill() {  // abrupt: stop serving, stop shipping, drop the service
     if (server) server->shutdown();

@@ -12,8 +12,9 @@
 //
 //   # shard 0 of 2, leader, shipping its WAL to followers on port 7100:
 //   $ ./tuning_server --kb shard0.kb --listen 7070 --shard-of 0/2 --ship 7100
-//   # a read-only follower of that leader, serving replicated warm hits:
-//   $ ./tuning_server --kb replica0.kb --listen 7071 --shard-of 0/2 \
+//   # a read-only follower of that leader, serving replicated warm hits
+//   # (one command line, wrapped here):
+//   $ ./tuning_server --kb replica0.kb --listen 7071 --shard-of 0/2
 //                     --follower-of 7100
 //
 // Tune commands are submitted asynchronously as they are read; responses

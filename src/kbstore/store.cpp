@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "kbstore/log_format.hpp"
 #include "obs/metrics.hpp"
@@ -83,13 +82,18 @@ obs::Gauge& g_durable_seq() {
   return g;
 }
 
+// Sized from the file length and read in one call, so recovery holds the
+// file once rather than in a doubling stream buffer plus its copy.
 bool read_file_bytes(const std::string& path, std::string& out) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return false;
-  std::ostringstream os;
-  os << f.rdbuf();
-  out = os.str();
-  return true;
+  const std::streamoff size = f.tellg();
+  if (size < 0) return false;
+  out.resize(static_cast<std::size_t>(size));
+  f.seekg(0);
+  f.read(out.data(), size);
+  out.resize(static_cast<std::size_t>(f.gcount()));
+  return !f.bad();
 }
 
 bool fsync_file(std::FILE* f) {

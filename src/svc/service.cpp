@@ -7,6 +7,7 @@
 #include "ir/fingerprint.hpp"
 #include "ir/parser.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/failpoint.hpp"
@@ -36,6 +37,16 @@ obs::Counter& c_wrong_shard() {
   static obs::Counter c = obs::Registry::instance().counter("svc.wrong_shard");
   return c;
 }
+obs::Counter& c_program_builds() {
+  static obs::Counter c =
+      obs::Registry::instance().counter("svc.program_builds");
+  return c;
+}
+obs::Histogram& h_program_build_us() {
+  static obs::Histogram h =
+      obs::Registry::instance().histogram("svc.program_build_us");
+  return h;
+}
 
 }  // namespace
 
@@ -44,7 +55,7 @@ struct TuningService::Job {
   std::string cache_key;   // module fingerprint + objective
   std::string flight_key;  // cache_key + machine: the single-flight key
   std::string eval_key;    // fingerprint + machine: evaluator sharing
-  std::shared_ptr<ir::Module> module;
+  std::shared_ptr<const ir::Module> module;
   int priority = 0;
   std::uint64_t seq = 0;
   Clock::time_point submitted;
@@ -139,6 +150,8 @@ class TuningService::Completion {
 
 TuningService::TuningService(Options opts)
     : opts_(std::move(opts)), pool_(opts_.workers) {
+  for (const std::string& name : wl::workload_names())
+    programs_.try_emplace(name);
   if (!opts_.kb_path.empty()) {
     kbstore::Options kopts;
     // autosave=true means "durable after every search": flush per write.
@@ -193,12 +206,17 @@ std::shared_future<TuningResponse> TuningService::submit(
     return ready_response(std::move(r));
   };
 
-  auto module = std::make_shared<ir::Module>();
+  std::shared_ptr<const ir::Module> module;
+  std::uint64_t fp = 0;
   try {
     if (!req.ir_text.empty()) {
-      *module = ir::parse_module(req.ir_text);
+      module =
+          std::make_shared<const ir::Module>(ir::parse_module(req.ir_text));
+      fp = ir::fingerprint(*module);
     } else {
-      *module = wl::make_workload(req.program).module;
+      const Program& p = program(req.program);
+      module = p.module;
+      fp = p.fingerprint;
     }
   } catch (const std::exception& e) {
     TuningResponse r;
@@ -208,8 +226,6 @@ std::shared_future<TuningResponse> TuningService::submit(
     metrics_.on_error(r.latency_us);
     return resolved(std::move(r));
   }
-
-  const std::uint64_t fp = ir::fingerprint(*module);
 
   // Fingerprint sharding: refuse work another shard owns, before any
   // cache or queue state is touched — a misrouted search must never land
@@ -354,6 +370,23 @@ std::shared_future<TuningResponse> TuningService::submit(
 
   pool_.submit([this] { run_one(); });
   return job->future;
+}
+
+const TuningService::Program& TuningService::program(const std::string& name) {
+  const auto it = programs_.find(name);
+  if (it == programs_.end()) {
+    wl::make_workload(name);  // throws: the name is not in the suite
+    ILC_UNREACHABLE("workload outside workload_names(): " + name);
+  }
+  Program& p = it->second;
+  std::call_once(p.built, [&] {
+    obs::ScopedTimerUs timer(h_program_build_us());
+    auto module = std::make_shared<ir::Module>(wl::make_workload(name).module);
+    p.fingerprint = ir::fingerprint(*module);
+    p.module = std::move(module);
+    c_program_builds().add(1);
+  });
+  return p;
 }
 
 TuningResponse TuningService::tune(TuningRequest req) {

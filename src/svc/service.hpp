@@ -10,7 +10,9 @@
 //
 // Request lifecycle — the service's guarantee is that **every submitted
 // request resolves exactly once, in bounded time, on every path**:
-//   submit() -> [warm KB hit -> ready future]
+//   submit() -> [program table: a suite program is built and fingerprinted
+//                on its name's first request only; inline IR is parsed]
+//            -> [warm KB hit -> ready future]
 //            -> [duplicate in flight -> share that future (coalesced)]
 //            -> [queue full -> stale in-memory result (shed) or rejected]
 //            -> [enqueue -> worker pops highest-priority job
@@ -159,7 +161,18 @@ class TuningService {
   };
   using Clock = std::chrono::steady_clock;
 
+  /// A suite program as every job sees it: built once, shared immutably.
+  struct Program {
+    std::once_flag built;
+    std::shared_ptr<const ir::Module> module;
+    std::uint64_t fingerprint = 0;
+  };
+
   std::shared_future<TuningResponse> ready_response(TuningResponse r);
+  /// The named suite program, built and fingerprinted on the name's first
+  /// request. Throws wl::make_workload's error for a name outside the
+  /// suite, which is never cached.
+  const Program& program(const std::string& name);
   void run_one();
   TuningResponse execute(const Job& job);
   /// Fetch-or-create the job's evaluator, bumping it in the LRU order and
@@ -173,6 +186,11 @@ class TuningService {
   /// Immutable after construction; read concurrently by workers without
   /// locking (assign/seeds_for/estimator_for are const and pure).
   search::SeedBank seed_bank_;
+
+  /// The program table: one slot per `wl::workload_names()` entry, made at
+  /// construction and never added to or evicted, so lookups take no lock.
+  /// Each slot builds at most once (its once_flag), outside mu_.
+  std::unordered_map<std::string, Program> programs_;
 
   mutable std::mutex mu_;  // guards cache_, queue_, inflight_, evaluators_
   ResultCache cache_;

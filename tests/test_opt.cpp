@@ -90,6 +90,45 @@ TEST_P(SequenceFuzz, RandomLength5SequencePreservesSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, SequenceFuzz, ::testing::Range(0, 12));
 
+// The sequences SequenceFuzz never draws, which phase-ordering search and a
+// pass manager will: 1-30 passes over all kNumPasses passes, repeats and
+// repeated unrolls allowed. One case per workload, kWideFuzzSequences
+// seeded sequences each (680 in all); the module is verified after every
+// pass and the golden checksum checked at the end.
+constexpr int kWideFuzzSequences = 40;
+
+class WideSequenceFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WideSequenceFuzz, LongSequencesWithRepeatsPreserveSemantics) {
+  const std::string& name = wl::workload_names()[GetParam()];
+  const wl::Workload w = wl::make_workload(name);
+  support::Rng rng(5000 + GetParam());
+  for (int s = 0; s < kWideFuzzSequences; ++s) {
+    std::vector<PassId> seq(1 + rng.next_below(30));
+    std::string text;
+    for (PassId& id : seq) {
+      id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
+      text += (text.empty() ? "" : ",") + std::string(opt::pass_name(id));
+    }
+    Module m = w.module;
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      opt::run_pass(seq[i], m);
+      ASSERT_EQ(verify(m), "")
+          << name << ": " << opt::pass_name(seq[i]) << " (pass " << i + 1
+          << " of " << text << ") left an invalid module";
+    }
+    EXPECT_EQ(run_checksum(m), w.expected_checksum)
+        << name << " miscompiled by " << text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WideSequenceFuzz,
+    ::testing::Range<std::size_t>(0, wl::workload_names().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return wl::workload_names()[info.param];
+    });
+
 TEST(Pipelines, FastPipelinePreservesEveryWorkload) {
   for (const auto& name : wl::workload_names()) {
     wl::Workload w = wl::make_workload(name);

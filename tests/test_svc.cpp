@@ -17,6 +17,7 @@
 #include "ir/fingerprint.hpp"
 #include "ir/printer.hpp"
 #include "kb/knowledge_base.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "search/space.hpp"
 #include "support/assert.hpp"
@@ -340,6 +341,110 @@ TEST(Svc, InlineIrRequestsAreCachedByFingerprint) {
   EXPECT_EQ(second.source, svc::Source::WarmCache);
   EXPECT_EQ(second.simulations, 0u);
   EXPECT_EQ(second.best_metric, first.best_metric);
+}
+
+// --- the program table ----------------------------------------------------
+//
+// Suite programs are fixed by name, so a service builds and fingerprints
+// each one on its first request only; every later request, warm hits
+// included, reuses the built module.
+
+svc::TuningService::Options with_workers(std::size_t n) {
+  svc::TuningService::Options opts;
+  opts.workers = n;
+  return opts;
+}
+
+std::uint64_t program_builds() {
+  return obs::Registry::instance().counter("svc.program_builds").value();
+}
+
+/// What a client reads from an answer, latency aside.
+void expect_same_answer(const svc::TuningResponse& got,
+                        const svc::TuningResponse& want) {
+  EXPECT_EQ(got.ok, want.ok) << got.program;
+  EXPECT_EQ(got.program, want.program);
+  EXPECT_EQ(got.config, want.config) << got.program;
+  EXPECT_EQ(got.baseline_metric, want.baseline_metric) << got.program;
+  EXPECT_EQ(got.best_metric, want.best_metric) << got.program;
+  EXPECT_EQ(got.speedup, want.speedup) << got.program;
+}
+
+TEST(SvcProgramTable, WarmHitsDoNotRebuildTheProgram) {
+  const std::uint64_t before = program_builds();
+  svc::TuningService service(with_workers(1));
+  const svc::TuningResponse cold = service.tune(request("adpcm", 6));
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.source, svc::Source::Search);
+  for (int i = 0; i < 99; ++i) {
+    const svc::TuningResponse warm = service.tune(request("adpcm", 6));
+    ASSERT_EQ(warm.source, svc::Source::WarmCache);
+    expect_same_answer(warm, cold);
+  }
+  const svc::TuningResponse crc = service.tune(request("crc32", 6));
+  ASSERT_TRUE(crc.ok) << crc.error;
+  EXPECT_EQ(program_builds() - before, 2u);
+
+  svc::TuningService fresh(with_workers(1));
+  expect_same_answer(cold, fresh.tune(request("adpcm", 6)));
+  expect_same_answer(crc, fresh.tune(request("crc32", 6)));
+
+  // Names outside the suite are never cached: each request errors the
+  // same way, and none builds anything.
+  const std::uint64_t built = program_builds();
+  const svc::TuningResponse first = service.tune(request("no-such-workload"));
+  const svc::TuningResponse again = service.tune(request("no-such-workload"));
+  const svc::TuningResponse elsewhere =
+      fresh.tune(request("no-such-workload"));
+  for (const svc::TuningResponse* r : {&first, &again, &elsewhere}) {
+    EXPECT_FALSE(r->ok);
+    EXPECT_EQ(r->source, svc::Source::Error);
+    EXPECT_EQ(r->error, elsewhere.error);
+  }
+  EXPECT_EQ(program_builds(), built);
+  EXPECT_EQ(service.metrics().errors, 2u);
+}
+
+// Eight clients race every suite program's first request against one
+// service: each program is still built exactly once, and every answer —
+// cold, coalesced or warm — equals a sequential service's.
+TEST(SvcProgramTable, ConcurrentFirstRequestsBuildEachProgramOnce) {
+  const std::vector<std::string>& names = wl::workload_names();
+  std::vector<svc::TuningResponse> sequential;
+  {
+    svc::TuningService service(with_workers(1));
+    for (const std::string& name : names)
+      sequential.push_back(service.tune(request(name, 3)));
+  }
+
+  const std::uint64_t before = program_builds();
+  svc::TuningService service(with_workers(4));
+  constexpr int kClients = 8;
+  // Per client: every program cold, then every program again (warm).
+  std::vector<std::vector<svc::TuningResponse>> answers(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int pass = 0; pass < 2; ++pass)
+        for (const std::string& name : names)
+          answers[c].push_back(service.tune(request(name, 3)));
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(program_builds() - before, names.size());
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(answers[c].size(), 2 * names.size());
+    for (std::size_t i = 0; i < answers[c].size(); ++i) {
+      const svc::TuningResponse& r = answers[c][i];
+      ASSERT_TRUE(r.ok) << r.program << ": " << r.error;
+      expect_same_answer(r, sequential[i % names.size()]);
+      if (i >= names.size()) EXPECT_EQ(r.source, svc::Source::WarmCache);
+    }
+  }
+  const svc::Metrics m = service.metrics();
+  EXPECT_EQ(m.searches, names.size());
+  EXPECT_EQ(m.errors, 0u);
 }
 
 // --- the request-lifecycle guarantee under faults and overload -----------
