@@ -80,7 +80,9 @@ class Json {
       out += i == 0 ? "\n" : ",\n";
       out += pad + quote(fields_[i].first) + ": " + fields_[i].second;
     }
-    out += "\n" + std::string(static_cast<std::size_t>(indent), ' ') + "}";
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent), ' ');
+    out += '}';
     return out;
   }
 

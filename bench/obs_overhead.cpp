@@ -114,6 +114,9 @@ int main(int argc, char** argv) {
   //   ProgramCache::get     1 counter add (+1 timer on miss)
   //   Evaluator::simulate   1 span + 1 timer + 1 counter add
   //   eval cache hit        1 counter add
+  //   transition-walk hit   1 counter add (besides its eval cache hit)
+  //   candidate built       3 stage timers (copy, passes, fingerprint):
+  //                         every evaluation but the walk hits
   obs::set_profiling_enabled(false);
   obs::Tracer::set_enabled(false);
   const obs::RegistrySnapshot before = obs::Registry::instance().snapshot();
@@ -131,10 +134,13 @@ int main(int argc, char** argv) {
       counter_delta(before, after, "search.simulations");
   const std::uint64_t eval_hits =
       counter_delta(before, after, "search.eval_cache.hits");
+  const std::uint64_t walk_hits =
+      counter_delta(before, after, "search.transition_hits");
+  const std::uint64_t built = sims + eval_hits - walk_hits;
 
   const std::uint64_t counter_adds =
-      5 * inv + pc_hits + pc_misses + 2 * sims + eval_hits;
-  const std::uint64_t timer_events = inv + pc_misses + sims;
+      5 * inv + pc_hits + pc_misses + 2 * sims + eval_hits + walk_hits;
+  const std::uint64_t timer_events = inv + pc_misses + sims + 3 * built;
   const std::uint64_t span_events = sims;
 
   // Disabled per-event costs, microbenched on this machine right now.

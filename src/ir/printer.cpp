@@ -8,7 +8,7 @@ namespace {
 
 std::string reg_name(Reg r) {
   if (r == kNoReg) return "_";
-  return "r" + std::to_string(r);
+  return std::string("r").append(std::to_string(r));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //       definition would make the register live-in);
 //   (e) the destination is not used outside the loop.
 #include <algorithm>
+#include <optional>
 
 #include "ir/analysis.hpp"
 #include "opt/pass.hpp"
@@ -47,10 +48,10 @@ bool used_outside_loop(const Function& fn, const Loop& loop, Reg r) {
 
 /// Ensure the loop header has a unique out-of-loop predecessor ending in a
 /// Jump to the header; create one if needed. Returns its block id, or
-/// kNoBlock if the header is the function entry (not handled).
-BlockId ensure_preheader(Function& fn, const Loop& loop) {
+/// kNoBlock if the header is the function entry (not handled). `cfg` is
+/// the CFG of `fn` as passed in.
+BlockId ensure_preheader(Function& fn, const Loop& loop, const Cfg& cfg) {
   if (loop.header == 0) return kNoBlock;
-  const Cfg cfg(fn);
   std::vector<BlockId> outside;
   for (BlockId p : cfg.preds[loop.header])
     if (!loop.contains(p)) outside.push_back(p);
@@ -80,20 +81,31 @@ BlockId ensure_preheader(Function& fn, const Loop& loop) {
 
 bool licm(Function& fn) {
   bool changed = false;
-  // Loops are recomputed after each hoisted loop because preheader
-  // creation adds blocks.
-  for (std::size_t li = 0;; ++li) {
-    const auto loops = find_loops(fn);
-    if (li >= loops.size()) break;
-    const Loop& loop = loops[li];
+  // The analyses are pure functions of `fn`, so each is recomputed only
+  // when what it reads changed: a new preheader changes the CFG and with
+  // it the loops; a hoist moves a non-terminator, which changes liveness
+  // but neither the CFG nor the loops. Each loop is still hoisted with
+  // the liveness taken before its own hoists, and with the loop list of
+  // the function as it was when the loop was reached.
+  std::vector<Loop> loops = find_loops(fn);
+  Cfg cfg(fn);
+  std::optional<Liveness> lv;
+  for (std::size_t li = 0; li < loops.size(); ++li) {
+    const Loop loop = loops[li];
 
-    const BlockId pre = ensure_preheader(fn, loop);
+    const std::size_t blocks_before = fn.blocks.size();
+    const BlockId pre = ensure_preheader(fn, loop, cfg);
     if (pre == kNoBlock) continue;
+    if (fn.blocks.size() != blocks_before) {
+      loops = find_loops(fn);
+      cfg = Cfg(fn);
+      lv.reset();
+    }
 
     std::vector<unsigned> defs = def_counts_in(fn, loop);
-    const Cfg cfg(fn);
-    const Liveness lv = compute_liveness(fn, cfg);
+    if (!lv) lv = compute_liveness(fn, cfg);
 
+    bool hoisted = false;
     bool hoisted_any = true;
     while (hoisted_any) {
       hoisted_any = false;
@@ -111,7 +123,7 @@ bool licm(Function& fn) {
             if (defs[uses[u]] != 0) srcs_invariant = false;
           if (!srcs_invariant) continue;
           if (defs[inst.dst] != 1) continue;
-          if (lv.live_in[loop.header].contains(inst.dst)) continue;
+          if (lv->live_in[loop.header].contains(inst.dst)) continue;
           if (used_outside_loop(fn, loop, inst.dst)) continue;
 
           // Hoist: insert before the preheader's terminator.
@@ -120,10 +132,14 @@ bool licm(Function& fn) {
           bb.insts.erase(bb.insts.begin() + static_cast<long>(i));
           defs[inst.dst] = 0;
           hoisted_any = true;
-          changed = true;
+          hoisted = true;
           --i;
         }
       }
+    }
+    if (hoisted) {
+      changed = true;
+      lv.reset();
     }
   }
   return changed;

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 
 #include "features/features.hpp"
 #include "ir/fingerprint.hpp"
@@ -374,10 +375,8 @@ std::shared_future<TuningResponse> TuningService::submit(
 
 const TuningService::Program& TuningService::program(const std::string& name) {
   const auto it = programs_.find(name);
-  if (it == programs_.end()) {
-    wl::make_workload(name);  // throws: the name is not in the suite
-    ILC_UNREACHABLE("workload outside workload_names(): " + name);
-  }
+  if (it == programs_.end())
+    throw std::invalid_argument("unknown workload: " + name);
   Program& p = it->second;
   std::call_once(p.built, [&] {
     obs::ScopedTimerUs timer(h_program_build_us());

@@ -58,7 +58,7 @@ class TuningService {
     /// Location of the persistent KB store (a kbstore directory, created
     /// on first use; a legacy CSV KB file here is migrated in place).
     /// Empty keeps the cache in memory only.
-    std::string kb_path;
+    std::string kb_path{};
     /// Make each completed search durable immediately (flush the store's
     /// WAL per write). When false, writes group-commit in batches and are
     /// flushed on save()/shutdown.
@@ -77,7 +77,7 @@ class TuningService {
     /// Requests opting in with seeding=on warm-start from the cluster
     /// nearest to their module's static features. Empty = no seed bank;
     /// an unreadable file throws at construction.
-    std::string seed_kb_path;
+    std::string seed_kb_path{};
 
     // --- fingerprint sharding & replication (ilc::repl) -------------------
     /// When shard_count > 1 this instance owns only the fingerprints with
@@ -97,7 +97,7 @@ class TuningService {
     /// Called with mu_ held; must not call back into the service.
     std::function<std::optional<CachedResult>(const std::string& cache_key,
                                               const std::string& machine)>
-        follower_lookup;
+        follower_lookup{};
   };
 
   /// Loads Options::kb_path when present; an unparsable file throws
@@ -170,8 +170,8 @@ class TuningService {
 
   std::shared_future<TuningResponse> ready_response(TuningResponse r);
   /// The named suite program, built and fingerprinted on the name's first
-  /// request. Throws wl::make_workload's error for a name outside the
-  /// suite, which is never cached.
+  /// request. Throws std::invalid_argument("unknown workload: <name>") for
+  /// a name outside the suite, which is never cached.
   const Program& program(const std::string& name);
   void run_one();
   TuningResponse execute(const Job& job);

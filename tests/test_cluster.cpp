@@ -299,7 +299,7 @@ TEST(ClusterPromoter, PicksTheMostCaughtUpReplica) {
     auto b = kbstore::Store::open(behind_leader.path, every_append());
     ASSERT_TRUE(a && b);
     for (int i = 0; i < 5; ++i)
-      a->append(sample("p" + std::to_string(i), 100 + i));
+      a->append(sample(std::string("p").append(std::to_string(i)), 100 + i));
     b->append(sample("q", 7));
   }
 

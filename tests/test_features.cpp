@@ -70,7 +70,9 @@ TEST(DynamicFeatures, MatchCounterRates) {
   EXPECT_DOUBLE_EQ(f[0], 2.5);  // CPI
   const auto& names = feat::dynamic_feature_names();
   for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i] == "L1_TCM_per_kilo_ins") EXPECT_DOUBLE_EQ(f[i], 50.0);
+    if (names[i] == "L1_TCM_per_kilo_ins") {
+      EXPECT_DOUBLE_EQ(f[i], 50.0);
+    }
 }
 
 TEST(DynamicFeatures, ZeroInstructionsIsSafe) {

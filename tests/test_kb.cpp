@@ -204,9 +204,9 @@ TEST(Kb, IndexMatchesLinearScanReference) {
   };
 
   for (int step = 0; step < 300; ++step) {
-    kb::ExperimentRecord r = sample(
-        "p" + std::to_string(rng.next_below(6)), rng.next_below(10000),
-        rng.next_below(2) ? "sequence" : "flags");
+    kb::ExperimentRecord r =
+        sample(std::string("p").append(std::to_string(rng.next_below(6))),
+               rng.next_below(10000), rng.next_below(2) ? "sequence" : "flags");
     r.machine = rng.next_below(2) ? "amd-like" : "c6713-like";
     if (rng.next_below(2)) {
       base.add(r);

@@ -195,7 +195,7 @@ TEST(KbStore, CleanReopenRecoversEverythingInInsertionOrder) {
     auto store = Store::open(dir.path, every_append());
     ASSERT_NE(store, nullptr);
     for (int i = 0; i < 20; ++i)
-      store->append(sample("p" + std::to_string(i % 4), 1000 + i));
+      store->append(sample(std::string("p").append(std::to_string(i % 4)), 1000 + i));
   }
   kbstore::RecoveryInfo info;
   auto store = Store::open(dir.path, every_append(), &info);
@@ -410,7 +410,7 @@ TEST(KbStore, CompactionPreservesLiveSetAndOrderAcrossReopen) {
     auto store = Store::open(dir.path, opts);
     ASSERT_NE(store, nullptr);
     for (std::size_t i = 0; i < 10; ++i)
-      store->append(sample("p" + std::to_string(i % 3), 100 + i));
+      store->append(sample(std::string("p").append(std::to_string(i % 3)), 100 + i));
     for (std::size_t i = 0; i < 50; ++i)
       store->upsert(sample("hot", 1000 - i, "flags"));
     EXPECT_GT(store->stats().dead, 0u);

@@ -28,9 +28,8 @@ TEST(UnrollSingle, UnrollsExactlyTheRequestedLoop) {
 
   // The other loop must be untouched: its body size is unchanged.
   const auto loops_after = find_loops(fn);
-  std::size_t other_body = 0, other_body_before = 0;
-  for (BlockId b : loops[1].blocks)
-    other_body_before += 1;  // block count proxy
+  std::size_t other_body = 0;
+  const std::size_t other_body_before = loops[1].blocks.size();  // proxy
   for (const auto& l : loops_after)
     if (l.header == loops[1].header) other_body = l.blocks.size();
   EXPECT_EQ(other_body, other_body_before);

@@ -108,7 +108,8 @@ TEST_P(WideSequenceFuzz, LongSequencesWithRepeatsPreserveSemantics) {
     std::string text;
     for (PassId& id : seq) {
       id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
-      text += (text.empty() ? "" : ",") + std::string(opt::pass_name(id));
+      if (!text.empty()) text += ',';
+      text += opt::pass_name(id);
     }
     Module m = w.module;
     for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -124,6 +125,99 @@ TEST_P(WideSequenceFuzz, LongSequencesWithRepeatsPreserveSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WideSequenceFuzz,
+    ::testing::Range<std::size_t>(0, wl::workload_names().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return wl::workload_names()[info.param];
+    });
+
+// The search Evaluator's pass-transition memo treats a pass that reports
+// no change as a no-op: it takes no fingerprint and replays skip the pass.
+// That holds only if `false` means the module is untouched, so check it
+// field by field for every pass, on every workload, from a seeded corpus
+// of states (the base module plus the states random prefixes reach).
+::testing::AssertionResult same_module(const Module& a, const Module& b) {
+  auto differ = [](const std::string& what) {
+    return ::testing::AssertionFailure() << what << " differs";
+  };
+  if (a.name != b.name) return differ("module name");
+  if (a.ptr_bytes() != b.ptr_bytes()) return differ("ptr_bytes");
+  if (a.functions().size() != b.functions().size())
+    return differ("function count");
+  for (std::size_t f = 0; f < a.functions().size(); ++f) {
+    const Function& fa = a.functions()[f];
+    const Function& fb = b.functions()[f];
+    if (fa.name != fb.name || fa.num_args != fb.num_args ||
+        fa.num_regs != fb.num_regs || fa.frame_size != fb.frame_size)
+      return differ("header of " + fa.name);
+    if (fa.blocks.size() != fb.blocks.size())
+      return differ("block count of " + fa.name);
+    for (std::size_t bi = 0; bi < fa.blocks.size(); ++bi)
+      if (fa.blocks[bi].insts != fb.blocks[bi].insts)
+        return differ(fa.name + " block " + std::to_string(bi));
+  }
+  if (a.records().size() != b.records().size()) return differ("record count");
+  for (std::size_t r = 0; r < a.records().size(); ++r) {
+    const RecordType& ra = a.records()[r];
+    const RecordType& rb = b.records()[r];
+    bool same = ra.name == rb.name && ra.fields.size() == rb.fields.size();
+    for (std::size_t i = 0; same && i < ra.fields.size(); ++i)
+      same = ra.fields[i].name == rb.fields[i].name &&
+             ra.fields[i].kind == rb.fields[i].kind;
+    if (!same) return differ("record " + ra.name);
+  }
+  if (a.globals().size() != b.globals().size()) return differ("global count");
+  for (std::size_t g = 0; g < a.globals().size(); ++g) {
+    const Global& ga = a.globals()[g];
+    const Global& gb = b.globals()[g];
+    bool same = ga.name == gb.name && ga.kind == gb.kind &&
+                ga.count == gb.count && ga.elem_width == gb.elem_width &&
+                ga.elem_is_ptr == gb.elem_is_ptr &&
+                ga.ptr_target == gb.ptr_target && ga.init == gb.init &&
+                ga.record == gb.record &&
+                ga.field_init.size() == gb.field_init.size();
+    for (std::size_t i = 0; same && i < ga.field_init.size(); ++i)
+      same = ga.field_init[i].values == gb.field_init[i].values &&
+             ga.field_init[i].ptr_target == gb.field_init[i].ptr_target;
+    if (!same) return differ("global " + ga.name);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr int kNoOpCorpusStates = 12;
+
+class NoChangeMeansUntouched : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(NoChangeMeansUntouched, EveryPassThatReportsNoChangeLeavesTheModule) {
+  const std::string& name = wl::workload_names()[GetParam()];
+  const wl::Workload w = wl::make_workload(name);
+  support::Rng rng(7000 + GetParam());
+  unsigned no_ops = 0;
+  for (int s = 0; s < kNoOpCorpusStates; ++s) {
+    // State 0 is the base module; the rest follow 1-8 random passes.
+    Module state = w.module;
+    std::string prefix;
+    const std::size_t len = s == 0 ? 0 : 1 + rng.next_below(8);
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
+      opt::run_pass(id, state);
+      if (!prefix.empty()) prefix += ',';
+      prefix += opt::pass_name(id);
+    }
+    for (unsigned p = 0; p < opt::kNumPasses; ++p) {
+      const auto id = static_cast<PassId>(p);
+      Module m = state;
+      if (opt::run_pass(id, m)) continue;
+      ++no_ops;
+      EXPECT_TRUE(same_module(m, state))
+          << name << ": " << opt::pass_name(id) << " reported no change after ["
+          << prefix << "]";
+    }
+  }
+  EXPECT_GT(no_ops, 0u) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, NoChangeMeansUntouched,
     ::testing::Range<std::size_t>(0, wl::workload_names().size()),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return wl::workload_names()[info.param];

@@ -208,7 +208,7 @@ TEST(ReplShip, ColdFollowerBootstrapsByteIdentical) {
   TempDir follower("repl_cold_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 10; ++i) store->append(sample("p" + std::to_string(i), 100 + i));
+  for (int i = 0; i < 10; ++i) store->append(sample(std::string("p").append(std::to_string(i)), 100 + i));
 
   auto a = repl::Applier::open(follower.path);
   ASSERT_TRUE(a);
@@ -304,7 +304,7 @@ TEST(ReplShip, CompactionMidStreamReshipsSnapshot) {
   TempDir follower("repl_midsnap_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 4; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 4; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   auto a = repl::Applier::open(follower.path);
   ASSERT_TRUE(a);
@@ -340,7 +340,7 @@ TEST(ReplFaults, TornShipMidFrameAppliesNothingAndResumes) {
   TempDir follower("repl_torn_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 6; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 6; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   auto a = repl::Applier::open(follower.path);
   ASSERT_TRUE(a);
@@ -368,7 +368,7 @@ TEST(ReplFaults, FollowerCrashMidApplyRecoversAndResumes) {
   TempDir follower("repl_crash_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 6; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 6; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   // First ship dies mid-apply: the failpoint makes the follower write a
   // torn prefix of the batch and "crash" (its WAL handle is gone).
@@ -489,7 +489,7 @@ TEST(ReplTcp, TwoFollowersConvergeAndSurviveLeaderRestart) {
   TempDir f2("repl_tcp_f2");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 8; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 8; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   auto ship = repl::ShipServer::start(leader.path, 0);
   ASSERT_TRUE(ship);
@@ -530,7 +530,7 @@ TEST(ReplTcp, TornTcpShipIsReconnectedAndConverges) {
   TempDir follower("repl_tcptorn_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 6; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 6; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   // The first shipped batch is cut mid-message and the connection
   // dropped (the repl.ship failpoint): the follower must drop the torn
@@ -555,7 +555,7 @@ TEST(ReplTcp, ShipServerJoinsEachFinishedSession) {
   TempDir follower("repl_tcpreap_follower");
   auto store = kbstore::Store::open(leader.path, every_append());
   ASSERT_TRUE(store);
-  for (int i = 0; i < 4; ++i) store->append(sample("p" + std::to_string(i), i));
+  for (int i = 0; i < 4; ++i) store->append(sample(std::string("p").append(std::to_string(i)), i));
 
   auto ship = repl::ShipServer::start(leader.path, 0);
   ASSERT_TRUE(ship);
@@ -609,10 +609,12 @@ TEST(ReplTcp, ShipServerJoinsEachFinishedSession) {
 // --- router --------------------------------------------------------------
 
 TEST(ReplRouter, RoutesOwnerWithReadOnlyFallback) {
-  repl::Router router({
-      {{"127.0.0.1", 9000}, {{"127.0.0.1", 9001}}},
-      {{"127.0.0.1", 9010}, {{"127.0.0.1", 9011}, {"127.0.0.1", 9012}}},
-  });
+  std::vector<repl::Router::Shard> shards(2);
+  shards[0].primary = {"127.0.0.1", 9000};
+  shards[0].followers = {{"127.0.0.1", 9001}};
+  shards[1].primary = {"127.0.0.1", 9010};
+  shards[1].followers = {{"127.0.0.1", 9011}, {"127.0.0.1", 9012}};
+  repl::Router router(std::move(shards));
   EXPECT_EQ(repl::owner_of(7, 2), 1u);
   EXPECT_EQ(repl::owner_of(8, 2), 0u);
 

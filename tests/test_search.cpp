@@ -5,12 +5,14 @@
 
 #include "kb/knowledge_base.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timer.hpp"
 #include "search/evaluator.hpp"
 #include "search/focused.hpp"
 #include "search/pareto.hpp"
 #include "search/seedbank.hpp"
 #include "search/space.hpp"
 #include "search/strategies.hpp"
+#include "support/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -103,6 +105,108 @@ TEST(EvaluatorResults, OptimizationNeverBreaksProgram) {
     EXPECT_GT(res.cycles, 0u);
     EXPECT_GT(res.code_size, 0u);
   }
+}
+
+// The pass-transition memo must not change a single result: every sequence
+// of a seeded corpus, evaluated in shuffled order from 4 threads on one
+// memoized evaluator, gives what a fresh evaluator with the cache off
+// gives. The corpus holds repeats, shared prefixes (truncations and
+// extensions of one another) and no-op passes (a pass repeated at once,
+// and the empty sequence).
+TEST(EvaluatorTransitions, MemoizedResultsMatchUncachedFromFourThreads) {
+  support::Rng rng(41);
+  for (const char* name : {"adpcm", "sha_lite", "dijkstra", "crc32"}) {
+    const wl::Workload w = wl::make_workload(name);
+    std::vector<std::vector<PassId>> corpus{{}};
+    for (int s = 0; s < 8; ++s) {
+      std::vector<PassId> seq(1 + rng.next_below(8));
+      for (PassId& id : seq)
+        id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
+      for (std::size_t len = 1; len < seq.size(); ++len)
+        corpus.emplace_back(seq.begin(), seq.begin() + len);
+      std::vector<PassId> repeated = seq;
+      repeated.push_back(seq.back());
+      std::vector<PassId> extended = seq;
+      extended.push_back(static_cast<PassId>(rng.next_below(opt::kNumPasses)));
+      corpus.push_back(seq);
+      corpus.push_back(repeated);
+      corpus.push_back(extended);
+    }
+    const std::size_t distinct = corpus.size();
+    for (std::size_t i = 0; i < distinct; ++i) corpus.push_back(corpus[i]);
+    for (std::size_t i = corpus.size(); i > 1; --i)
+      std::swap(corpus[i - 1], corpus[rng.next_below(i)]);
+
+    Evaluator memoized(w.module, sim::amd_like());
+    std::vector<EvalResult> got(corpus.size());
+    support::parallel_for(
+        0, corpus.size(),
+        [&](std::size_t i) { got[i] = memoized.eval_sequence(corpus[i]); },
+        4);
+
+    Evaluator fresh(w.module, sim::amd_like());
+    fresh.set_cache_enabled(false);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const EvalResult want = fresh.eval_sequence(corpus[i]);
+      const std::string seq = sequence_to_string(corpus[i]);
+      EXPECT_EQ(got[i].cycles, want.cycles) << name << " [" << seq << "]";
+      EXPECT_EQ(got[i].code_size, want.code_size)
+          << name << " [" << seq << "]";
+      EXPECT_EQ(got[i].instructions, want.instructions)
+          << name << " [" << seq << "]";
+      EXPECT_TRUE(got[i].counters == want.counters)
+          << name << " [" << seq << "]";
+    }
+    EXPECT_EQ(memoized.simulations() + memoized.cache_hits(), corpus.size());
+    EXPECT_LE(memoized.simulations(), distinct) << name;
+  }
+}
+
+// A repeated sequence is answered by walking the transition table: no
+// module copy, no pass run, no fingerprint. A prefix of it (whose states
+// are all known but whose end was never simulated) replays its passes
+// without fingerprinting; an extension fingerprints only its new pass.
+TEST(EvaluatorTransitions, RepeatedSequenceRunsNoPass) {
+  obs::set_profiling_enabled(true);
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Histogram copies = reg.histogram("search.copy_us");
+  obs::Histogram passes = reg.histogram("search.passes_us");
+  obs::Histogram fingerprints = reg.histogram("search.fingerprint_us");
+  obs::Counter walks = reg.counter("search.transition_hits");
+
+  const wl::Workload w = wl::make_workload("adpcm");
+  Evaluator eval(w.module, sim::amd_like());
+  const std::vector<PassId> seq = {PassId::ConstProp, PassId::Dce,
+                                   PassId::Licm, PassId::Schedule};
+  const EvalResult first = eval.eval_sequence(seq);
+  EXPECT_EQ(eval.simulations(), 1u);
+
+  const std::uint64_t c0 = copies.count(), p0 = passes.count(),
+                      f0 = fingerprints.count(), w0 = walks.value();
+  const EvalResult again = eval.eval_sequence(seq);
+  EXPECT_EQ(again.cycles, first.cycles);
+  EXPECT_EQ(again.code_size, first.code_size);
+  EXPECT_EQ(copies.count(), c0);
+  EXPECT_EQ(passes.count(), p0);
+  EXPECT_EQ(fingerprints.count(), f0);
+  EXPECT_EQ(walks.value(), w0 + 1);
+  EXPECT_EQ(eval.cache_hits(), 1u);
+  EXPECT_EQ(eval.simulations(), 1u);
+
+  eval.eval_sequence({PassId::ConstProp, PassId::Dce});
+  EXPECT_EQ(copies.count(), c0 + 1);
+  EXPECT_EQ(fingerprints.count(), f0);
+  EXPECT_EQ(walks.value(), w0 + 1);
+  EXPECT_EQ(eval.simulations(), 2u);
+
+  std::vector<PassId> extended = seq;
+  extended.push_back(PassId::Cse);
+  eval.eval_sequence(extended);
+  EXPECT_LE(fingerprints.count(), f0 + 1);
+
+  Evaluator fresh(w.module, sim::amd_like());
+  fresh.set_cache_enabled(false);
+  EXPECT_EQ(fresh.eval_sequence(seq).cycles, first.cycles);
 }
 
 TEST(Strategies, TracesAreMonotoneNonIncreasing) {

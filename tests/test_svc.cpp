@@ -315,6 +315,17 @@ TEST(Svc, UnknownProgramYieldsErrorResponseNotThrow) {
   EXPECT_EQ(service.metrics().errors, 1u);
 }
 
+// The error line names the request, not the server's build: no source
+// path and no assertion text, so two checkouts of one commit answer alike.
+TEST(Svc, UnknownProgramErrorLineIsStable) {
+  svc::TuningService service({.workers = 1});
+  const std::string line =
+      svc::format_response(service.tune(request("no-such-workload")));
+  EXPECT_EQ(line, "err unknown workload: no-such-workload");
+  EXPECT_EQ(line.find('/'), std::string::npos) << line;
+  EXPECT_EQ(line.find("check failed"), std::string::npos) << line;
+}
+
 TEST(Svc, MalformedInlineIrYieldsErrorResponse) {
   svc::TuningService service({.workers = 1});
   svc::TuningRequest req = request("inline");
@@ -439,7 +450,9 @@ TEST(SvcProgramTable, ConcurrentFirstRequestsBuildEachProgramOnce) {
       const svc::TuningResponse& r = answers[c][i];
       ASSERT_TRUE(r.ok) << r.program << ": " << r.error;
       expect_same_answer(r, sequential[i % names.size()]);
-      if (i >= names.size()) EXPECT_EQ(r.source, svc::Source::WarmCache);
+      if (i >= names.size()) {
+        EXPECT_EQ(r.source, svc::Source::WarmCache);
+      }
     }
   }
   const svc::Metrics m = service.metrics();
